@@ -4,9 +4,8 @@
 #   1. fmt        — gofmt, no-op diff required
 #   2. vet        — `go vet` then `xyvet`, the repo's own analyzer suite
 #                   (internal/analysis: nopanic, lockbalance, ctxflow,
-#                   errwrap, syncorder, segorder, goroleak, poolbalance,
-#                   timerleak, depbound, staleallow); any diagnostic
-#                   fails the gate
+#                   errwrap, segorder, goroleak, poolbalance, timerleak,
+#                   depbound, staleallow); any diagnostic fails the gate
 #   3. build      — every package compiles
 #   4. race       — the whole test suite under the race detector,
 #                   including the concurrent Put/Diff/Subscribe stress test
@@ -25,7 +24,11 @@
 #                   query×document pairs evaluated by both xpathlite
 #                   and the independent naive evaluator, zero
 #                   divergences tolerated
-#  10. bench-check — quick bench5–bench8 runs gated against
+#  10. ledger      — `go vet` and the self-test of the benchmark ledger
+#                   (ledger/), its own Go module, so the module-wide
+#                   steps above never compile it; a change to the
+#                   server or storage API it drives fails here
+#  11. bench-check — quick bench5–bench8 runs gated against
 #                   BENCH_5.json … BENCH_8.json (coarse tolerances;
 #                   catches gross perf and match-quality regressions,
 #                   holds SFTM to beating BULD-without-IDs on the
@@ -35,9 +38,9 @@
 # scripts/check.sh runs the same sequence standalone (no make needed).
 GO ?= go
 
-.PHONY: check fmt vet xyvet build test race bench fuzz-smoke load-smoke scrub-smoke match-smoke xpath-smoke bench-json bench-json6 bench-json7 bench-json8 bench-check server crawl-demo
+.PHONY: check fmt vet xyvet build test race bench ledger fuzz-smoke load-smoke scrub-smoke match-smoke xpath-smoke bench-json bench-json6 bench-json7 bench-json8 bench-check server crawl-demo
 
-check: fmt vet build race fuzz-smoke load-smoke scrub-smoke match-smoke xpath-smoke bench-check
+check: fmt vet build race fuzz-smoke load-smoke scrub-smoke match-smoke xpath-smoke ledger bench-check
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -97,6 +100,12 @@ bench-json8:
 # disagreement (node set, order, or compile verdict) fails the gate.
 xpath-smoke:
 	$(GO) test ./internal/xptest -run '^TestXPathDifferentialSeeded$$' -count=1 -v
+
+# The benchmark ledger is a separate module (ledger/go.mod): vet it and
+# run its self-test, a short capped pass over the real server handler.
+ledger:
+	$(GO) -C ledger vet ./...
+	$(GO) -C ledger test ./...
 
 # Gate fresh quick-mode runs against the committed baselines; see
 # scripts/benchdiff.sh for the tolerances.

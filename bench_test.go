@@ -21,10 +21,12 @@ import (
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
+	"xydiff/internal/faultfs"
 	"xydiff/internal/index"
 	"xydiff/internal/server"
 	"xydiff/internal/store"
 	"xydiff/internal/textdiff"
+	"xydiff/internal/vstore"
 	"xydiff/internal/xid"
 )
 
@@ -347,7 +349,12 @@ func BenchmarkServerPut(b *testing.B) {
 		versions = append(versions, doc.String())
 	}
 
-	srv := server.New(store.New(diff.Options{}), server.Config{
+	st, err := vstore.Open("/", diff.Options{}, vstore.Config{FS: &faultfs.Mem{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	srv := server.New(st, server.Config{
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil)),
 	})
 	defer srv.Close()
@@ -377,11 +384,11 @@ func BenchmarkServerPut(b *testing.B) {
 	b.ReportMetric(float64(srv.Metrics().DiffCount())/float64(b.N), "diffs/op")
 }
 
-// BenchmarkServerPutJournaled is BenchmarkServerPut against a durable
-// store: every acknowledged PUT has reached the write-ahead journal
-// first. The sub-benchmarks compare the three fsync policies — always
-// (an acknowledged version survives power loss), interval (bounded
-// loss window, amortized fsyncs) and off (OS-paced flushing) — so the
+// BenchmarkServerPutJournaled is BenchmarkServerPut against a store on
+// disk: every acknowledged PUT has reached the segment journal first.
+// The sub-benchmarks compare the three fsync policies — always (an
+// acknowledged version survives power loss), interval (bounded loss
+// window, amortized fsyncs) and off (OS-paced flushing) — so the
 // durability tax on ingest throughput is a measured number, not a
 // guess.
 func BenchmarkServerPutJournaled(b *testing.B) {
@@ -399,7 +406,7 @@ func BenchmarkServerPutJournaled(b *testing.B) {
 
 	for _, policy := range []store.SyncPolicy{store.SyncAlways, store.SyncInterval, store.SyncOff} {
 		b.Run(policy.String(), func(b *testing.B) {
-			st, err := store.Open(b.TempDir(), diff.Options{}, store.Durability{Sync: policy})
+			st, err := vstore.Open(b.TempDir(), diff.Options{}, vstore.Config{Sync: policy})
 			if err != nil {
 				b.Fatal(err)
 			}

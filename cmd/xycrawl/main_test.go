@@ -14,8 +14,9 @@ import (
 	"xydiff/internal/changesim"
 	"xydiff/internal/crawl"
 	"xydiff/internal/diff"
+	"xydiff/internal/faultfs"
 	"xydiff/internal/server"
-	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 )
 
 // TestRunCrawlsIntoDaemon is the two-process pipeline end to end: a
@@ -33,11 +34,16 @@ func TestRunCrawlsIntoDaemon(t *testing.T) {
 	paths := origin.Paths()
 
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	daemon := server.New(store.New(diff.Options{}), server.Config{Logger: quiet})
+	st, err := vstore.Open("/", diff.Options{}, vstore.Config{FS: &faultfs.Mem{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon := server.New(st, server.Config{Logger: quiet})
 	daemonSrv := httptest.NewServer(daemon.Handler())
 	defer func() {
 		daemonSrv.Close()
 		daemon.Close()
+		st.Close()
 	}()
 
 	cfg := config{

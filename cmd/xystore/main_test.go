@@ -1,15 +1,15 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"xydiff/internal/diff"
-	"xydiff/internal/dom"
 	"xydiff/internal/faultfs"
 	"xydiff/internal/scrub"
-	"xydiff/internal/store"
+	"xydiff/internal/store/legacytest"
 	"xydiff/internal/vstore"
 )
 
@@ -121,48 +121,29 @@ func TestInspectAndCompact(t *testing.T) {
 	}
 }
 
-// TestMigrateCommand drives an old per-document directory through the
-// CLI's migrate and verifies the converted warehouse serves the same
-// versions (the engine-level equivalence lives in internal/vstore).
+// TestMigrateCommand drives the per-document directory captured from
+// the engine that wrote that layout through the CLI: every command but
+// migrate refuses it with the migration hint, and after migrate the
+// warehouse serves the same versions (the byte-level equivalence lives
+// in internal/vstore).
 func TestMigrateCommand(t *testing.T) {
-	root := t.TempDir()
-	wh := filepath.Join(root, "warehouse")
-	old, err := store.Open(wh, diff.Options{}, store.Durability{Sync: store.SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, xml := range []string{`<r><a>1</a></r>`, `<r><a>2</a></r>`, `<r><a>2</a><b/></r>`} {
-		doc, err := dom.ParseString(xml)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := old.Put("d", doc); err != nil {
-			t.Fatal(err)
+	wh := filepath.Join(t.TempDir(), "warehouse")
+	legacytest.Copy(t, wh)
+	for _, args := range [][]string{{"inspect"}, {"compact"}, {"ids"}, {"cat", "doc", "1"}} {
+		if err := run(wh, args); !errors.Is(err, vstore.ErrNeedsMigration) {
+			t.Fatalf("%v on old layout = %v, want the migration hint", args, err)
 		}
 	}
-	if err := old.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Old layout: inspect works through the legacy engine, compact
-	// refuses with a pointer at migrate.
-	if err := run(wh, []string{"inspect"}); err != nil {
-		t.Fatalf("inspect on old layout: %v", err)
-	}
-	if err := run(wh, []string{"compact"}); err == nil {
-		t.Fatal("compact on old layout succeeded, want migrate hint")
-	}
+	legacytest.CheckCopy(t, wh)
 
 	if err := run(wh, []string{"migrate", "4"}); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
-	if _, err := os.Stat(wh + ".pre-migrate"); err != nil {
-		t.Fatalf("backup missing after migrate: %v", err)
-	}
+	legacytest.CheckCopy(t, wh+".pre-migrate")
 	for _, args := range [][]string{
 		{"ids"},
-		{"log", "d"},
-		{"cat", "d", "1"},
+		{"log", "doc"},
+		{"cat", "doc 1", "1"},
 		{"inspect"},
 		{"compact"},
 	} {
@@ -175,8 +156,11 @@ func TestMigrateCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.Versions("d"); got != 3 {
-		t.Fatalf("d has %d versions after migrate, want 3", got)
+	golden := legacytest.ReadGolden(t, legacytest.GoldenPath())
+	for _, id := range []string{"doc", "doc 1", "x/y"} {
+		if got, want := s.Versions(id), golden.Versions(id); got != want {
+			t.Fatalf("%s has %d versions after migrate, want %d", id, got, want)
+		}
 	}
 	// Bad migrate invocations fail loudly.
 	if err := run(wh, []string{"migrate"}); err == nil {
@@ -229,57 +213,16 @@ func TestScrubCommandShardedLayout(t *testing.T) {
 	}
 }
 
+// TestScrubCommandOldLayout: scrub, like every command but migrate,
+// refuses a per-document directory with the migration hint and leaves
+// it untouched.
 func TestScrubCommandOldLayout(t *testing.T) {
-	dir := t.TempDir()
-	wh := filepath.Join(dir, "old")
-	s, err := store.Open(wh, diff.Options{}, store.Durability{Sync: store.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
+	wh := filepath.Join(t.TempDir(), "old")
+	legacytest.Copy(t, wh)
+	for _, args := range [][]string{{"scrub", "-once"}, {"scrub", "-once", "-repair"}} {
+		if err := run(wh, args); !errors.Is(err, vstore.ErrNeedsMigration) {
+			t.Fatalf("%v on old layout = %v, want the migration hint", args, err)
+		}
 	}
-	doc, err := dom.ParseString(`<r><a>1</a></r>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Put("d", doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(wh); err != nil { // snapshot alongside the journal
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(wh, []string{"scrub", "-once"}); err != nil {
-		t.Fatalf("old-layout scrub: %v", err)
-	}
-	// A diverged latest.xml is derived state: -repair rewrites it from
-	// the reconstructed chain.
-	latest := filepath.Join(wh, "d", "latest.xml")
-	if err := os.WriteFile(latest, []byte(`<r><a>wrong</a></r>`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(wh, []string{"scrub", "-once", "-repair"}); err != nil {
-		t.Fatalf("old-layout repair: %v", err)
-	}
-	fixed, err := os.ReadFile(latest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(fixed) == `<r><a>wrong</a></r>` {
-		t.Fatal("latest.xml not rewritten")
-	}
-	// Damage the journal: scrub must quarantine, not delete.
-	j, _ := filepath.Glob(filepath.Join(wh, "journal-*.log"))
-	if len(j) != 1 {
-		t.Fatalf("journals = %v", j)
-	}
-	if err := faultfs.FlipBit(faultfs.OS{}, j[0], 10, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(wh, []string{"scrub", "-once"}); err != nil {
-		t.Fatalf("scrub with damage: %v", err)
-	}
-	if _, err := os.Stat(j[0] + scrub.QuarantineSuffix); err != nil {
-		t.Fatalf("journal not quarantined: %v", err)
-	}
+	legacytest.CheckCopy(t, wh)
 }

@@ -15,7 +15,8 @@ import (
 	"xydiff/internal/alert"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
-	"xydiff/internal/store"
+	"xydiff/internal/faultfs"
+	"xydiff/internal/vstore"
 )
 
 var versions = []string{
@@ -43,7 +44,11 @@ var versions = []string{
 }
 
 func main() {
-	repo := store.New(diff.Options{})
+	repo, err := vstore.Open("/", diff.Options{}, vstore.Config{FS: &faultfs.Mem{}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer repo.Close()
 	alerter := alert.New(
 		alert.Subscription{
 			ID:    "new-products",

@@ -29,8 +29,9 @@ import (
 	"xydiff/internal/crawl"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
+	"xydiff/internal/faultfs"
 	"xydiff/internal/stats"
-	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 )
 
 func main() {
@@ -47,9 +48,13 @@ func main() {
 	defer ts.Close()
 	paths := origin.Paths()
 
-	// The repository: an in-memory versioned store; every new version
-	// is diffed against its predecessor.
-	st := store.New(diff.Options{})
+	// The repository: a versioned store on an in-memory filesystem;
+	// every new version is diffed against its predecessor.
+	st, err := vstore.Open("/", diff.Options{}, vstore.Config{FS: &faultfs.Mem{}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer st.Close()
 	ingest := func(ctx context.Context, id string, body []byte) (bool, error) {
 		doc, err := dom.Parse(bytes.NewReader(body))
 		if err != nil {

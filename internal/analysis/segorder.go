@@ -136,3 +136,15 @@ func isDocStateField(e ast.Expr) bool {
 	}
 	return false
 }
+
+// calleeName extracts the bare called-function name: f(...) -> "f",
+// x.f(...) -> "f".
+func calleeName(call *ast.CallExpr) string {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		return fun.Name
+	case *ast.SelectorExpr:
+		return fun.Sel.Name
+	}
+	return ""
+}

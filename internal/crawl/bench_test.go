@@ -14,8 +14,9 @@ import (
 	"xydiff/internal/changesim"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
+	"xydiff/internal/faultfs"
 	"xydiff/internal/stats"
-	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 )
 
 // versionRing captures successive versions of one corpus document and
@@ -95,7 +96,11 @@ func BenchmarkCrawlIngest(b *testing.B) {
 	ts := httptest.NewServer(ring)
 	defer ts.Close()
 
-	st := store.New(diff.Options{})
+	st, err := vstore.Open("/", diff.Options{}, vstore.Config{FS: &faultfs.Mem{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
 	alerter := alert.New(alert.Subscription{ID: "bench", Path: "Product"})
 	st.SetObserver(func(id string, version int, oldDoc, newDoc *dom.Node, r *diff.Result) {
 		alerter.Notify(id, version, oldDoc, newDoc, r.Delta)

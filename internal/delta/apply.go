@@ -71,7 +71,12 @@ func Apply(doc *dom.Node, d *Delta) (err error) {
 		pending[mv.ToParent] = append(pending[mv.ToParent], attachment{pos: mv.ToPos, node: n})
 	}
 
-	// Phase 3: detach deleted subtrees.
+	// Phase 3: detach deleted subtrees. Every target is resolved before
+	// any is detached, and verified only once all are, so a delete
+	// nested in another deleted subtree (a text node the diff split off
+	// its deleted parent) applies in any op order.
+	var dels []Delete
+	var targets []*dom.Node
 	for _, op := range d.Ops {
 		del, ok := op.(Delete)
 		if !ok {
@@ -84,11 +89,20 @@ func Apply(doc *dom.Node, d *Delta) (err error) {
 		if n.Parent == nil || n.Parent.XID != del.Parent {
 			return fmt.Errorf("delta: delete %d: parent is %v, op says %d", del.XID, parentXID(n), del.Parent)
 		}
-		if del.Subtree != nil && !dom.Equal(n, del.Subtree) {
+		dels = append(dels, del)
+		targets = append(targets, n)
+	}
+	for i, n := range targets {
+		if n.Parent == nil {
+			return fmt.Errorf("delta: delete %d: node deleted twice", dels[i].XID)
+		}
+		n.Detach()
+	}
+	for i, n := range targets {
+		if del := dels[i]; del.Subtree != nil && !dom.Equal(n, del.Subtree) {
 			return fmt.Errorf("delta: delete %d: document content differs from recorded subtree: %s",
 				del.XID, dom.Diagnose(n, del.Subtree))
 		}
-		n.Detach()
 		// The detached nodes are gone; drop them from the index so a
 		// corrupt delta cannot re-attach below a deleted node.
 		dom.WalkPre(n, func(x *dom.Node) bool {

@@ -9,11 +9,13 @@ package delta_test
 //	go test ./internal/delta -run TestGoldenDeltas -update
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
 )
@@ -22,7 +24,10 @@ var update = flag.Bool("update", false, "rewrite the golden delta files")
 
 // goldenCases are small, hand-readable document pairs covering every
 // operation kind the delta format serializes: updates, attribute ops,
-// deletes, inserts, inter-parent and intra-parent moves.
+// deletes, inserts, inter-parent and intra-parent moves. The two
+// mixed-content cases move an element into (and out of) an inserted
+// (deleted) element whose text it separates: without the moved child
+// the two texts would sit side by side, which XML cannot write.
 var goldenCases = []struct {
 	name     string
 	old, new string
@@ -58,6 +63,16 @@ var goldenCases = []struct {
 			`<product sku="2"><name>desk</name><price>40</price></product></catalog>`,
 		new: `<catalog><product sku="2"><name>desk</name><price>45</price></product>` +
 			`<product sku="3"><name>lamp</name><price>7</price></product></catalog>`,
+	},
+	{
+		name: "mixed-content-move-in",
+		old:  `<r><x><b>moved content here</b><c>keep</c></x><y>stay</y></r>`,
+		new:  `<r><x><c>keep</c></x><y>stay</y><p>hello<b>moved content here</b>world</p></r>`,
+	},
+	{
+		name: "mixed-content-move-out",
+		old:  `<r><x><c>keep</c></x><y>stay</y><p>hello<b>moved content here</b>world</p></r>`,
+		new:  `<r><x><b>moved content here</b><c>keep</c></x><y>stay</y></r>`,
 	},
 }
 
@@ -98,6 +113,30 @@ func TestGoldenDeltas(t *testing.T) {
 			if string(got) != string(want) {
 				t.Errorf("delta for %q changed\n got: %s\nwant: %s\n(intentional? regenerate with -update)",
 					tc.name, got, want)
+			}
+			// The encoded delta parses back and still transforms the old
+			// version into the new one, and its inverse back again.
+			back, err := delta.Parse(bytes.NewReader(got))
+			if err != nil {
+				t.Fatalf("golden delta does not parse back: %v", err)
+			}
+			v2, err := delta.ApplyClone(oldDoc, back)
+			if err != nil {
+				t.Fatalf("apply parsed delta: %v", err)
+			}
+			if !dom.Equal(v2, newDoc) {
+				t.Fatalf("parsed delta yields %s, want %s", v2, newDoc)
+			}
+			inv, err := back.Invert()
+			if err != nil {
+				t.Fatal(err)
+			}
+			v1, err := delta.ApplyClone(v2, inv)
+			if err != nil {
+				t.Fatalf("apply inverted delta: %v", err)
+			}
+			if !dom.Equal(v1, oldDoc) {
+				t.Fatalf("inverted delta yields %s, want %s", v1, oldDoc)
 			}
 		})
 	}

@@ -58,7 +58,7 @@ func (m *matcher) buildDelta() *delta.Delta {
 		}
 		if po := int(m.old.parent[oi]); po >= 0 && m.oldToNew[po] >= 0 {
 			o := m.old.nodes[oi]
-			content := m.pruneOld(oi)
+			content := m.pruneOld(d, oi)
 			d.Ops = append(d.Ops, delta.Delete{
 				XID:     o.XID,
 				XIDMap:  xid.Of(content),
@@ -77,7 +77,7 @@ func (m *matcher) buildDelta() *delta.Delta {
 		}
 		if pn := int(m.new.parent[ni]); pn >= 0 && m.newToOld[pn] >= 0 {
 			n := m.new.nodes[ni]
-			content := m.pruneNew(ni)
+			content := m.pruneNew(d, ni)
 			d.Ops = append(d.Ops, delta.Insert{
 				XID:     n.XID,
 				XIDMap:  xid.Of(content),
@@ -189,8 +189,10 @@ func (m *matcher) diffAttributes(d *delta.Delta, o, n *dom.Node) {
 
 // pruneOld clones an unmatched old subtree, dropping matched
 // descendants (they leave via move operations), so the delete op's
-// recorded content is exactly what remains at detach time.
-func (m *matcher) pruneOld(oi int) *dom.Node {
+// recorded content is exactly what remains at detach time. A text
+// child that would follow another text child once those are dropped
+// gets a delete op of its own (see splitsText).
+func (m *matcher) pruneOld(d *delta.Delta, oi int) *dom.Node {
 	o := m.old.nodes[oi]
 	c := &dom.Node{Type: o.Type, Name: o.Name, Value: o.Value, XID: o.XID}
 	if len(o.Attrs) > 0 {
@@ -202,14 +204,21 @@ func (m *matcher) pruneOld(oi int) *dom.Node {
 		if m.oldToNew[ci] >= 0 {
 			continue
 		}
-		c.Append(m.pruneOld(ci))
+		sub := m.pruneOld(d, ci)
+		if splitsText(c, sub) {
+			d.Ops = append(d.Ops, delta.Delete{XID: sub.XID, XIDMap: xid.Of(sub), Parent: o.XID, Pos: pos, Subtree: sub})
+			continue
+		}
+		c.Append(sub)
 	}
 	return c
 }
 
 // pruneNew clones an unmatched new subtree, dropping matched
-// descendants (they arrive via move operations).
-func (m *matcher) pruneNew(ni int) *dom.Node {
+// descendants (they arrive via move operations). A text child that
+// would follow another text child once those are dropped gets an
+// insert op of its own (see splitsText).
+func (m *matcher) pruneNew(d *delta.Delta, ni int) *dom.Node {
 	n := m.new.nodes[ni]
 	c := &dom.Node{Type: n.Type, Name: n.Name, Value: n.Value, XID: n.XID}
 	if len(n.Attrs) > 0 {
@@ -221,9 +230,23 @@ func (m *matcher) pruneNew(ni int) *dom.Node {
 		if m.newToOld[ci] >= 0 {
 			continue
 		}
-		c.Append(m.pruneNew(ci))
+		sub := m.pruneNew(d, ci)
+		if splitsText(c, sub) {
+			d.Ops = append(d.Ops, delta.Insert{XID: sub.XID, XIDMap: xid.Of(sub), Parent: n.XID, Pos: pos, Subtree: sub})
+			continue
+		}
+		c.Append(sub)
 	}
 	return c
+}
+
+// splitsText reports whether appending child to the pruned clone c
+// would put two text nodes side by side. That happens only where a
+// matched node between them was dropped, and such a subtree cannot be
+// serialized: XML has no way to write two adjacent text nodes, so they
+// would parse back as one and the op's xidmap would no longer fit.
+func splitsText(c, child *dom.Node) bool {
+	return child.Type == dom.Text && len(c.Children) > 0 && c.Children[len(c.Children)-1].Type == dom.Text
 }
 
 func needsXIDs(doc *dom.Node) bool {

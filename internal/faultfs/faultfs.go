@@ -1,7 +1,8 @@
 // Package faultfs provides the writable filesystem seam the store's
 // durability layer writes through, plus a fault-injecting wrapper used
 // by crash-recovery tests. The production implementation (OS) is a thin
-// veneer over package os; Faulty wraps any FS and deterministically
+// veneer over package os; Mem keeps a whole filesystem in memory, for
+// stores that need no persistence; Faulty wraps any FS and deterministically
 // injects short writes, fsync failures, write errors after N matching
 // operations, and crash points after which every operation fails — the
 // moral equivalent of the process dying mid-syscall, so tests can

@@ -15,8 +15,8 @@ import (
 //	+4  uint32  CRC32-C (Castagnoli) of the payload
 //	+8  payload
 //
-// WalkLog verifies that frame so both engines scrub through the same
-// code the recovery paths trust.
+// WalkLog verifies that frame, for the scrubber and for the loader of
+// the legacy journals alike.
 
 const (
 	// headerLen is the fixed frame header: length + checksum.

@@ -29,12 +29,9 @@ import (
 	"xydiff/internal/vstore"
 )
 
-// Store is the versioned repository the server serves: the method set
-// shared by the per-document engine (*store.Store) and the sharded,
-// group-committed engine (*vstore.Store). The HTTP layer is
-// engine-agnostic; engine-specific observability (per-shard group
-// commit, version cache) is picked up through the optional
-// storageStatser capability.
+// Store is the versioned repository the server serves: the methods of
+// *vstore.Store the handlers call. It is an interface so that a caller
+// can wrap the store, for instance to trace each call.
 type Store interface {
 	PutContext(ctx context.Context, id string, doc *dom.Node) (int, *delta.Delta, error)
 	PutMatcherContext(ctx context.Context, id string, doc *dom.Node, matcher diff.Matcher) (int, *delta.Delta, error)
@@ -48,13 +45,12 @@ type Store interface {
 	SyncPolicy() store.SyncPolicy
 	DurabilityStats() store.DurabilityStats
 	RecoveryStats() store.RecoveryStats
-}
-
-// storageStatser is the optional capability the sharded engine adds:
-// when the store implements it, /healthz grows a storage block and
-// /metrics per-shard group-commit, compaction and cache series.
-type storageStatser interface {
+	// StorageStats feeds the storage block of /healthz and the
+	// group-commit, compaction and cache series of /metrics.
 	StorageStats() vstore.StorageStats
+	// Degraded reports whether reads of the document serve a history
+	// partly quarantined, and why.
+	Degraded(id string) (bool, string)
 }
 
 // Config tunes the server. The zero value picks production defaults.

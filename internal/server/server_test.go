@@ -17,7 +17,8 @@ import (
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
-	"xydiff/internal/store"
+	"xydiff/internal/faultfs"
+	"xydiff/internal/vstore"
 	"xydiff/internal/xid"
 )
 
@@ -26,11 +27,18 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s := New(store.New(diff.Options{}), cfg)
+	st, err := vstore.Open("/", diff.Options{}, vstore.Config{FS: &faultfs.Mem{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(st, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
 	})
 	return s, ts
 }

@@ -15,18 +15,21 @@ import (
 
 // gatedWriter is a ResponseWriter standing in for a consumer that stops
 // reading: every body write blocks until the gate opens. It implements
-// http.Flusher so the NDJSON handler accepts it.
+// http.Flusher so the NDJSON handler accepts it. headerSent closes at
+// the first WriteHeader, which the handler calls only after attaching
+// its notifier to the alerter.
 type gatedWriter struct {
-	mu       sync.Mutex
-	header   http.Header
-	code     int
-	buf      bytes.Buffer
-	gate     chan struct{}
-	attempts atomic.Int64
+	mu         sync.Mutex
+	header     http.Header
+	code       int
+	buf        bytes.Buffer
+	gate       chan struct{}
+	headerSent chan struct{}
+	attempts   atomic.Int64
 }
 
 func newGatedWriter() *gatedWriter {
-	return &gatedWriter{header: make(http.Header), gate: make(chan struct{})}
+	return &gatedWriter{header: make(http.Header), gate: make(chan struct{}), headerSent: make(chan struct{})}
 }
 
 func (w *gatedWriter) Header() http.Header { return w.header }
@@ -36,6 +39,7 @@ func (w *gatedWriter) WriteHeader(code int) {
 	defer w.mu.Unlock()
 	if w.code == 0 {
 		w.code = code
+		close(w.headerSent)
 	}
 }
 
@@ -103,6 +107,13 @@ func TestAlertStreamSlowConsumer(t *testing.T) {
 	}
 	if code, _, body := doReq(t, "PUT", ts.URL+"/docs/d", product(0)); code != http.StatusCreated {
 		t.Fatalf("PUT v1: %d %s", code, body)
+	}
+	// An alert raised before the stream attaches is never delivered to
+	// it, so v2 waits for the response header.
+	select {
+	case <-w.headerSent:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream never sent its response header")
 	}
 
 	// First alert: wait until the handler is wedged writing it to the

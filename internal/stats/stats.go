@@ -6,7 +6,7 @@
 // price node is more likely to change than a description node."
 //
 // A Collector observes (oldDoc, newDoc, delta) triples — typically at
-// store.Put time — and accumulates per-element-label change frequencies
+// vstore.Put time — and accumulates per-element-label change frequencies
 // and per-version delta size ratios.
 package stats
 
@@ -120,7 +120,7 @@ func (c *Collector) ChangeRate(docID string) (rate float64, visits int) {
 
 // Observe records one version transition. oldDoc is the version the
 // delta applies to and newDoc its result; XIDs must be consistent with
-// the delta (as produced by diff.Diff or store.Put).
+// the delta (as produced by diff.Diff or vstore.Put).
 func (c *Collector) Observe(oldDoc, newDoc *dom.Node, d *delta.Delta) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

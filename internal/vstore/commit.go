@@ -12,9 +12,9 @@ import (
 // shard's committer goroutine, which gathers whatever is pending into
 // one batch, writes it with a single segment append and — under
 // SyncAlways — a single fsync, then acknowledges every Put in the
-// batch. Durability semantics are exactly the per-document journal's
-// (no Put acknowledged before its record is on stable storage); only
-// the fsync count changes, from one per Put to one per batch.
+// batch. No Put is acknowledged before its record is on stable
+// storage; only the fsync count changes, from one per Put to one per
+// batch.
 //
 // Batching is adaptive: a lone writer's record is committed
 // immediately (no latency tax), while concurrent writers pile up

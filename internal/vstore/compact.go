@@ -16,8 +16,7 @@ import (
 
 // Compaction folds a shard's sealed segments into per-document
 // snapshots and deletes the segments, bounding both recovery replay
-// and disk growth. The crash-safety discipline is the same as the
-// per-document engine's checkpoint, applied per shard:
+// and disk growth. The crash-safety discipline, per shard:
 //
 //  1. seal the active segment, so every on-disk segment is frozen;
 //  2. snapshot every document whose snapshot is behind, each file

@@ -140,7 +140,8 @@ func TestCrashMatrix(t *testing.T) {
 
 // TestCrashTornWrite is the short-write variant: the crash persists
 // only a prefix of a segment append, which recovery must truncate away
-// as a torn tail.
+// as a torn tail. A short write the process survives must fail its Put
+// and leave the store as it was: the next Put lands cleanly after it.
 func TestCrashTornWrite(t *testing.T) {
 	clean := faultfs.Wrap(faultfs.OS{})
 	crashWorkload(t, t.TempDir(), clean)
@@ -156,6 +157,30 @@ func TestCrashTornWrite(t *testing.T) {
 			verifyAcked(t, dir, acked, scenario)
 		}
 	}
+
+	dir := t.TempDir()
+	fsys := faultfs.Wrap(faultfs.OS{}, &faultfs.Fault{Op: faultfs.OpWrite, Countdown: 3, ShortBytes: 7})
+	s, err := Open(dir, diff.Options{}, crashCfg(fsys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, _, err := s.Put("doc", parse(t, `<r><v>1</v></r>`)); err != nil { // write 2; write 1 is the manifest
+		t.Fatal(err)
+	}
+	if _, _, err := s.Put("doc", parse(t, `<r><v>2</v></r>`)); err == nil {
+		t.Fatal("a failed segment write did not fail the Put")
+	}
+	if got := s.Versions("doc"); got != 1 {
+		t.Fatalf("failed Put left %d versions, want 1", got)
+	}
+	if v, _, err := s.Put("doc", parse(t, `<r><v>2b</v></r>`)); err != nil || v != 2 {
+		t.Fatalf("Put after the failed write: v%d, %v", v, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	verifyAcked(t, dir, []ackedVersion{{"doc", 1, `<r><v>1</v></r>`}, {"doc", 2, `<r><v>2b</v></r>`}}, "short write survived")
 }
 
 // TestCrashTornBatchMidGroupCommit is the sharded engine's new failure

@@ -4,65 +4,55 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"xydiff/internal/changesim"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
-	"xydiff/internal/store"
+	"xydiff/internal/store/legacytest"
 )
 
-// The sharded engine must be observationally identical to the
-// per-document engine: same deltas, same reconstructions, byte for
-// byte, over a changesim-driven golden corpus — including after a
-// checkpoint and a reopen, where vstore's lazily-materialized trees
-// come from replay instead of from the diff that created them.
+// The engine must serve exactly what the per-document engine it
+// replaced served: same deltas, same reconstructions, same aggregates,
+// byte for byte, over a changesim-driven corpus — live, after a
+// checkpoint, after a reopen (where trees come from replay instead of
+// from the diff that created them), and for a Put after the reopen.
+// testdata/differential.golden holds the digests of the per-document
+// engine's output for this corpus, captured before that engine was
+// removed (see package legacytest for the format).
 
-func renderDelta(t *testing.T, d *delta.Delta) string {
+func renderDelta(t *testing.T, d *delta.Delta) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := d.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
-func TestDifferentialAgainstPerDocumentStore(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	oldEngine := store.New(diff.Options{})
-	dir := t.TempDir()
-	newEngine, err := Open(dir, diff.Options{}, Config{Shards: 4})
+	b, err := serializeDelta(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer newEngine.Close()
+	return b
+}
 
-	type docRun struct {
-		id       string
-		versions int
+func TestDifferentialAgainstPerDocumentStore(t *testing.T) {
+	golden := legacytest.ReadGolden(t, filepath.Join("testdata", "differential.golden"))
+	rng := rand.New(rand.NewSource(42))
+	dir := t.TempDir()
+	s, err := Open(dir, diff.Options{}, Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var runs []docRun
-	for d := 0; d < 4; d++ {
-		id := fmt.Sprintf("doc-%d", d)
-		doc := changesim.Catalog(rng, 3, 4)
-		cur := doc
-		const versions = 5
-		for v := 0; v < versions; v++ {
-			vOld, dOld, errOld := oldEngine.Put(id, cur)
-			vNew, dNew, errNew := newEngine.Put(id, cur)
-			if (errOld == nil) != (errNew == nil) {
-				t.Fatalf("%s v%d: old err=%v new err=%v", id, v+1, errOld, errNew)
+	defer s.Close()
+
+	const docs, versions = 4, 5
+	id := func(d int) string { return fmt.Sprintf("doc-%d", d) }
+	for d := 0; d < docs; d++ {
+		cur := changesim.Catalog(rng, 3, 4)
+		for v := 1; v <= versions; v++ {
+			got, dl, err := s.Put(id(d), cur)
+			if err != nil || got != v {
+				t.Fatalf("%s: Put = v%d, %v; want v%d", id(d), got, err, v)
 			}
-			if vOld != vNew {
-				t.Fatalf("%s: version numbers diverge (%d vs %d)", id, vOld, vNew)
-			}
-			if (dOld == nil) != (dNew == nil) {
-				t.Fatalf("%s v%d: delta nilness diverges", id, v+1)
-			}
-			if dOld != nil && renderDelta(t, dOld) != renderDelta(t, dNew) {
-				t.Fatalf("%s v%d: deltas differ:\nold %s\nnew %s",
-					id, v+1, renderDelta(t, dOld), renderDelta(t, dNew))
+			if v > 1 {
+				golden.Check(t, id(d), fmt.Sprintf("delta%d", v-1), renderDelta(t, dl))
 			}
 			res, err := changesim.Simulate(cur, changesim.Uniform(0.12, rng.Int63()))
 			if err != nil {
@@ -70,63 +60,43 @@ func TestDifferentialAgainstPerDocumentStore(t *testing.T) {
 			}
 			cur = res.New
 		}
-		runs = append(runs, docRun{id: id, versions: versions})
 	}
 
 	compare := func(eng *Store, label string) {
 		t.Helper()
-		for _, run := range runs {
-			for v := 1; v <= run.versions; v++ {
-				wantDoc, err := oldEngine.Version(run.id, v)
+		for d := 0; d < docs; d++ {
+			for v := 1; v <= versions; v++ {
+				doc, err := eng.Version(id(d), v)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("%s: %s v%d: %v", label, id(d), v, err)
 				}
-				gotDoc, err := eng.Version(run.id, v)
-				if err != nil {
-					t.Fatalf("%s: %s v%d: %v", label, run.id, v, err)
-				}
-				if gotDoc.String() != wantDoc.String() {
-					t.Fatalf("%s: %s v%d reconstruction differs", label, run.id, v)
-				}
-				if v < run.versions {
-					wantD, err := oldEngine.Delta(run.id, v)
+				golden.Check(t, id(d), fmt.Sprintf("v%d", v), []byte(doc.String()))
+				if v < versions {
+					dl, err := eng.Delta(id(d), v)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s: %s delta %d: %v", label, id(d), v, err)
 					}
-					gotD, err := eng.Delta(run.id, v)
-					if err != nil {
-						t.Fatalf("%s: %s delta %d: %v", label, run.id, v, err)
-					}
-					if renderDelta(t, gotD) != renderDelta(t, wantD) {
-						t.Fatalf("%s: %s delta %d differs", label, run.id, v)
-					}
+					golden.Check(t, id(d), fmt.Sprintf("delta%d", v), renderDelta(t, dl))
 				}
 			}
-			wantAgg, err := oldEngine.Aggregate(run.id, 1, run.versions)
+			agg, err := eng.Aggregate(id(d), 1, versions)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: aggregate %s: %v", label, id(d), err)
 			}
-			gotAgg, err := eng.Aggregate(run.id, 1, run.versions)
-			if err != nil {
-				t.Fatalf("%s: aggregate %s: %v", label, run.id, err)
-			}
-			if renderDelta(t, gotAgg) != renderDelta(t, wantAgg) {
-				t.Fatalf("%s: %s aggregate differs", label, run.id)
-			}
+			golden.Check(t, id(d), fmt.Sprintf("aggregate1-%d", versions), renderDelta(t, agg))
 		}
 	}
-	compare(newEngine, "live")
+	compare(s, "live")
 
 	// A checkpoint folds everything into snapshots; correctness must
 	// not depend on where the bytes live.
-	if err := newEngine.Checkpoint(); err != nil {
+	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	compare(newEngine, "after checkpoint")
+	compare(s, "after checkpoint")
 
-	// Reopen: trees now come from replaying persisted bytes, and the
-	// version chains must still match the old engine exactly.
-	if err := newEngine.Close(); err != nil {
+	// Reopen: trees now come from replaying persisted bytes.
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := Open(dir, diff.Options{}, Config{Shards: 4})
@@ -138,24 +108,20 @@ func TestDifferentialAgainstPerDocumentStore(t *testing.T) {
 
 	// And diffs taken AFTER a reopen must still match: the replayed
 	// latest tree carries the same XIDs the diff-produced tree had.
-	for _, run := range runs {
-		nextOld, err := oldEngine.Version(run.id, run.versions)
+	for d := 0; d < docs; d++ {
+		latest, err := reopened.Version(id(d), versions)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mut, err := changesim.Simulate(nextOld, changesim.Uniform(0.15, 7))
+		mut, err := changesim.Simulate(latest, changesim.Uniform(0.15, 7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, dOld, errOld := oldEngine.Put(run.id, mut.New)
-		_, dNew, errNew := reopened.Put(run.id, mut.New)
-		if errOld != nil || errNew != nil {
-			t.Fatalf("%s post-reopen put: old=%v new=%v", run.id, errOld, errNew)
+		_, dl, err := reopened.Put(id(d), mut.New)
+		if err != nil {
+			t.Fatalf("%s post-reopen put: %v", id(d), err)
 		}
-		if renderDelta(t, dOld) != renderDelta(t, dNew) {
-			t.Fatalf("%s: post-reopen deltas differ:\nold %s\nnew %s",
-				run.id, renderDelta(t, dOld), renderDelta(t, dNew))
-		}
+		golden.Check(t, id(d), fmt.Sprintf("delta%d", versions), renderDelta(t, dl))
 	}
 }
 

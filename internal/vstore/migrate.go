@@ -1,7 +1,6 @@
 package vstore
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 
@@ -10,11 +9,11 @@ import (
 	"xydiff/internal/store"
 )
 
-// Migration converts a per-document store directory (package store's
-// layout: journal-*.log files plus one snapshot directory per
-// document) into the sharded segment layout, without re-diffing
-// anything: each document's base version and delta chain are carried
-// over verbatim, so every reconstruction stays byte-identical. The
+// Migration converts a per-document store directory (the layout that
+// came before this engine: journal-*.log files plus one snapshot
+// directory per document, read by store.Load) into the sharded segment
+// layout, without re-diffing anything: each document's base version
+// and delta chain are carried over verbatim, so every reconstruction stays byte-identical. The
 // conversion is built beside the original and swapped in with two
 // renames, keeping the original as a backup:
 //
@@ -77,9 +76,10 @@ func Migrate(dir string, opts diff.Options, cfg Config) (int, error) {
 	if !oldLayout(fsys, dir, entries) {
 		return 0, fmt.Errorf("vstore: migrate %s: not a per-document store directory", dir)
 	}
-	// Load the old store (replaying its journals) through the real
-	// reader, so exactly the acknowledged state carries over.
-	old, err := store.Load(dir, opts)
+	// The read-only legacy loader replays the journals in memory, so
+	// exactly the acknowledged state carries over and the original
+	// stays byte-identical as the backup.
+	chains, _, err := store.Load(fsys, dir)
 	if err != nil {
 		return 0, fmt.Errorf("vstore: migrate %s: load old store: %w", dir, err)
 	}
@@ -90,18 +90,11 @@ func Migrate(dir string, opts diff.Options, cfg Config) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("vstore: migrate %s: create new layout: %w", dir, err)
 	}
-	count := 0
-	for _, id := range old.IDs() {
-		base, deltas, err := serializeChain(old, id)
-		if err != nil {
-			_ = next.Close() // the serialize error is the one worth reporting
-			return 0, fmt.Errorf("vstore: migrate %s: %w", dir, err)
-		}
-		if err := next.Import(id, base, deltas); err != nil {
+	for _, c := range chains {
+		if err := next.Import(c.ID, c.Base, c.Deltas); err != nil {
 			_ = next.Close() // the import error is the one worth reporting
 			return 0, err
 		}
-		count++
 	}
 	if err := next.Close(); err != nil {
 		return 0, fmt.Errorf("vstore: migrate %s: close new layout: %w", dir, err)
@@ -114,33 +107,7 @@ func Migrate(dir string, opts diff.Options, cfg Config) (int, error) {
 	if err := fsys.Rename(tmp, dir); err != nil {
 		return 0, fmt.Errorf("vstore: migrate %s: install new layout (original preserved at %s): %w", dir, backup, err)
 	}
-	return count, nil
-}
-
-// serializeChain renders one document's base version and delta chain
-// from the old engine.
-func serializeChain(old *store.Store, id string) (base []byte, deltas [][]byte, err error) {
-	v1, err := old.Version(id, 1)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: reconstruct version 1: %w", id, err)
-	}
-	var buf bytes.Buffer
-	if _, err := v1.WriteTo(&buf); err != nil {
-		return nil, nil, fmt.Errorf("%s: serialize version 1: %w", id, err)
-	}
-	base = append([]byte(nil), buf.Bytes()...)
-	for n := 1; n < old.Versions(id); n++ {
-		d, err := old.Delta(id, n)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: delta %d: %w", id, n, err)
-		}
-		buf.Reset()
-		if _, err := d.WriteTo(&buf); err != nil {
-			return nil, nil, fmt.Errorf("%s: serialize delta %d: %w", id, n, err)
-		}
-		deltas = append(deltas, append([]byte(nil), buf.Bytes()...))
-	}
-	return base, deltas, nil
+	return len(chains), nil
 }
 
 func manifestPath(dir string) string { return dir + string(os.PathSeparator) + manifestName }

@@ -2,78 +2,25 @@ package vstore
 
 import (
 	"fmt"
-	"math/rand"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"xydiff/internal/changesim"
 	"xydiff/internal/diff"
-	"xydiff/internal/store"
+	"xydiff/internal/store/legacytest"
 )
 
-// buildOldStore fabricates a PR-2-era per-document store directory:
-// several documents, several versions, some checkpointed (snapshot
-// dirs) and some only journaled — exactly the mixed state a live
-// daemon's directory is in when an operator migrates it.
-func buildOldStore(t *testing.T, dir string) []string {
-	t.Helper()
-	rng := rand.New(rand.NewSource(99))
-	old, err := store.Open(dir, diff.Options{}, store.Durability{Sync: store.SyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	for d := 0; d < 3; d++ {
-		id := fmt.Sprintf("doc %d", d) // space exercises id escaping
-		ids = append(ids, id)
-		cur := changesim.Catalog(rng, 2, 3)
-		for v := 0; v < 4; v++ {
-			if _, _, err := old.Put(id, cur); err != nil {
-				t.Fatal(err)
-			}
-			res, err := changesim.Simulate(cur, changesim.Uniform(0.15, rng.Int63()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cur = res.New
-		}
-	}
-	// Snapshot everything, then add journal-only tail versions so the
-	// migration has to merge snapshot + journal state.
-	if err := old.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range ids[:2] {
-		latest, _, err := old.Latest(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := changesim.Simulate(latest, changesim.Uniform(0.2, 5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := old.Put(id, res.New); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := old.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return ids
-}
+// The migration tests run on the per-document directory captured from
+// the engine that wrote that layout (see package legacytest): snapshot
+// directories, a journal that repeats snapshotted versions and ends in
+// a torn record, and a journal-only document.
 
 func TestMigrateRoundTrip(t *testing.T) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "data")
-	ids := buildOldStore(t, dir)
-
-	// Reference view of the old store before migration touches it.
-	ref, err := store.Load(dir, diff.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := filepath.Join(t.TempDir(), "data")
+	legacytest.Copy(t, dir)
+	golden := legacytest.ReadGolden(t, legacytest.GoldenPath())
+	ids := []string{"doc", "doc 1", "x/y"}
 
 	count, err := Migrate(dir, diff.Options{}, Config{Shards: 3})
 	if err != nil {
@@ -82,58 +29,36 @@ func TestMigrateRoundTrip(t *testing.T) {
 	if count != len(ids) {
 		t.Fatalf("migrated %d documents, want %d", count, len(ids))
 	}
-	// The backup is the untouched original.
-	backup := dir + ".pre-migrate"
-	if _, err := os.Stat(backup); err != nil {
-		t.Fatalf("backup missing: %v", err)
-	}
-	fromBackup, err := store.Load(backup, diff.Options{})
-	if err != nil {
-		t.Fatalf("backup unreadable as old store: %v", err)
-	}
-	if got, want := len(fromBackup.IDs()), len(ids); got != want {
-		t.Fatalf("backup holds %d documents, want %d", got, want)
-	}
+	// The backup is the untouched original, torn tail included.
+	legacytest.CheckCopy(t, dir+".pre-migrate")
 
-	// The migrated directory opens as a sharded store and matches the
-	// reference byte for byte, deltas included.
+	// The migrated directory opens as a sharded store and serves what
+	// the old engine served, byte for byte, deltas included.
 	s, err := Open(dir, diff.Options{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.IDs(); len(got) != len(ids) {
-		t.Fatalf("migrated IDs = %v", got)
+	if got := s.IDs(); strings.Join(got, ",") != strings.Join(ids, ",") {
+		t.Fatalf("migrated IDs = %q, want %q", got, ids)
 	}
 	for _, id := range ids {
-		want := ref.Versions(id)
+		want := golden.Versions(id)
 		if got := s.Versions(id); got != want {
 			t.Fatalf("%s: %d versions after migration, want %d", id, got, want)
 		}
 		for v := 1; v <= want; v++ {
-			refDoc, err := ref.Version(id, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotDoc, err := s.Version(id, v)
+			doc, err := s.Version(id, v)
 			if err != nil {
 				t.Fatalf("%s v%d: %v", id, v, err)
 			}
-			if gotDoc.String() != refDoc.String() {
-				t.Fatalf("%s v%d differs after migration", id, v)
-			}
+			golden.Check(t, id, fmt.Sprintf("v%d", v), []byte(doc.String()))
 			if v < want {
-				refD, err := ref.Delta(id, v)
+				d, err := s.Delta(id, v)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotD, err := s.Delta(id, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if renderDelta(t, gotD) != renderDelta(t, refD) {
-					t.Fatalf("%s delta %d differs after migration", id, v)
-				}
+				golden.Check(t, id, fmt.Sprintf("delta%d", v), renderDelta(t, d))
 			}
 		}
 	}
@@ -150,8 +75,19 @@ func TestMigrateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := ref.Versions(ids[0]) + 1; v != want {
+	if want := golden.Versions(ids[0]) + 1; v != want {
 		t.Fatalf("post-migration Put produced v%d, want %d", v, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir, diff.Options{}, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.Versions(ids[0]); got != v {
+		t.Fatalf("after reopen %s has %d versions, want %d", ids[0], got, v)
 	}
 }
 
@@ -170,9 +106,8 @@ func TestMigrateRefusesWrongDirectories(t *testing.T) {
 		t.Fatalf("Migrate(sharded dir) = %v, want 'already in sharded layout'", err)
 	}
 	// Leftover backup from a previous migration blocks a rerun.
-	root := t.TempDir()
-	oldDir := filepath.Join(root, "data")
-	buildOldStore(t, oldDir)
+	oldDir := filepath.Join(t.TempDir(), "data")
+	legacytest.Copy(t, oldDir)
 	if _, err := Migrate(oldDir, diff.Options{}, Config{Shards: 2}); err != nil {
 		t.Fatal(err)
 	}

@@ -10,10 +10,11 @@ import (
 	"xydiff/internal/xpathlite"
 )
 
-// "Querying the past" over the sharded engine: the same API as the
-// per-document store, with deltas parsed on demand from their stored
-// bytes. Result types (store.VersionValue, store.NodeState,
-// store.ChangeHit) are shared so callers are engine-agnostic.
+// This file implements the paper's "querying the past" (Section 2):
+// because any version is reconstructible and deltas are ordinary XML,
+// temporal questions reduce to path queries over reconstructed
+// versions and over the stored delta chain, whose deltas are parsed on
+// demand from their stored bytes.
 
 // Query evaluates a path expression against version n of the document.
 func (s *Store) Query(id string, version int, expr *xpathlite.Expr) ([]*dom.Node, error) {
@@ -70,6 +71,8 @@ func (s *Store) Timeline(id string, expr *xpathlite.Expr) ([]store.VersionValue,
 
 // NodeHistory tracks a node across every version by its persistent
 // identifier: present or not, where it lives, and what it contains.
+// This is the paper's core use of XIDs — following "parts of an XML
+// document through time", including across moves.
 func (s *Store) NodeHistory(id string, xid int64) ([]store.NodeState, error) {
 	st, err := s.reading(id)
 	if err != nil {
@@ -105,8 +108,9 @@ func (s *Store) NodeHistory(id string, xid int64) ([]store.NodeState, error) {
 
 // ChangesMatching scans the deltas between versions from and to
 // (forward, from < to) and returns the operations whose affected node
-// matches the pattern. An empty kinds list selects every operation
-// kind.
+// matches the pattern — "ask for the list of items recently introduced
+// in a catalog" is ChangesMatching(id, v, latest, //Product, KindInsert).
+// An empty kinds list selects every operation kind.
 func (s *Store) ChangesMatching(id string, from, to int, pattern *xpathlite.Expr, kinds ...delta.Kind) ([]store.ChangeHit, error) {
 	st, err := s.reading(id)
 	if err != nil {

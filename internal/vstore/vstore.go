@@ -1,9 +1,11 @@
-// Package vstore is the sharded, group-committed storage engine that
-// scales the change-centric repository of package store to millions of
-// documents. It keeps the same contract — each document is its chain of
-// completed deltas, every acknowledged version survives a crash, any
-// past version reconstructs byte-identically — but changes the shape of
-// the durability layer:
+// Package vstore is the change-centric version repository the diff
+// serves in the Xyleme architecture (the paper's Figure 1 and Section
+// 2): each document is kept as its chain of completed deltas. Because
+// deltas are completed (and therefore invertible), any past version
+// reconstructs byte-identically from the latest one, and "queries
+// about the past" are queries over the stored deltas (temporal.go).
+// Every acknowledged version survives a crash. The engine is sharded
+// and group-committed:
 //
 //   - Documents are hashed across N shards. Each shard owns ONE
 //     append-only segment journal shared by every document in the
@@ -31,9 +33,9 @@
 //	shard-000/docs/<escaped id>/     per-document snapshot
 //	    v1.xml delta-0001.xml ... versions
 //
-// A directory in the old per-document layout (package store) is
-// refused with ErrNeedsMigration; `xystore migrate` converts it in
-// place with a backup.
+// A directory in the older per-document layout is refused with
+// ErrNeedsMigration; `xystore migrate` converts it in place with a
+// backup. A store that needs no persistence opens on a faultfs.Mem.
 package vstore
 
 import (
@@ -63,9 +65,8 @@ type Config struct {
 	// directory creation and recorded in the manifest; reopening uses
 	// the recorded count regardless of this field (default 16).
 	Shards int
-	// Sync is the segment fsync policy, with exactly the semantics of
-	// the per-document journal: SyncAlways means no Put is acknowledged
-	// before its batch is durable.
+	// Sync is the segment fsync policy: SyncAlways means no Put is
+	// acknowledged before its batch is durable.
 	Sync store.SyncPolicy
 	// SyncInterval is the flush period under store.SyncInterval
 	// (default 100ms).
@@ -611,9 +612,9 @@ func serializeDelta(d *delta.Delta) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// snapshotLoadOptions parse persisted XML with full fidelity, exactly
-// as the per-document engine does: whitespace-only text in a record is
-// genuine content and must survive the round-trip for XIDs to line up.
+// snapshotLoadOptions parse persisted XML with full fidelity:
+// whitespace-only text in a record is genuine content and must survive
+// the round-trip for XIDs to line up.
 func snapshotLoadOptions() dom.ParseOptions {
 	return dom.ParseOptions{KeepWhitespace: true, KeepComments: true, KeepProcInsts: true}
 }

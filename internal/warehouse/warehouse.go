@@ -10,13 +10,17 @@
 package warehouse
 
 import (
+	"fmt"
+
 	"xydiff/internal/alert"
 	"xydiff/internal/delta"
 	"xydiff/internal/diff"
 	"xydiff/internal/dom"
+	"xydiff/internal/faultfs"
 	"xydiff/internal/index"
 	"xydiff/internal/stats"
 	"xydiff/internal/store"
+	"xydiff/internal/vstore"
 	"xydiff/internal/xpathlite"
 )
 
@@ -25,16 +29,22 @@ import (
 // pipeline holds no cross-component lock, so two concurrent Loads of
 // the *same* document should be serialized by the caller).
 type Warehouse struct {
-	store   *store.Store
+	store   *vstore.Store
 	alerter *alert.Alerter
 	index   *index.Index
 	stats   *stats.Collector
 }
 
-// New returns an empty warehouse whose diffs run with opts.
+// New returns an empty warehouse whose diffs run with opts. Its
+// repository lives in memory; Close releases it.
 func New(opts diff.Options) *Warehouse {
+	st, err := vstore.Open("/", opts, vstore.Config{FS: &faultfs.Mem{}})
+	if err != nil {
+		//xyvet:allow nopanic -- an empty faultfs.Mem has nothing to recover and no write that can fail, so only a bug gets here
+		panic(fmt.Sprintf("warehouse: open in-memory store: %v", err))
+	}
 	return &Warehouse{
-		store:   store.New(opts),
+		store:   st,
 		alerter: alert.New(),
 		index:   index.New(),
 		stats:   stats.NewCollector(),
@@ -123,5 +133,6 @@ func (w *Warehouse) Aggregate(docID string, from, to int) (*delta.Delta, error) 
 // Stats snapshots the accumulated change statistics.
 func (w *Warehouse) Stats() stats.Report { return w.stats.Report() }
 
-// Store exposes the underlying repository (e.g. for Save/Load to disk).
-func (w *Warehouse) Store() *store.Store { return w.store }
+// Close stops the repository's background work. The warehouse stays
+// readable; Loads after Close fail.
+func (w *Warehouse) Close() error { return w.store.Close() }

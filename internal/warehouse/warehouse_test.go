@@ -24,6 +24,7 @@ func parse(t *testing.T, s string) *dom.Node {
 
 func TestLoadPipeline(t *testing.T) {
 	w := New(diff.Options{})
+	defer w.Close()
 	w.Subscribe(alert.Subscription{
 		ID:    "new-products",
 		Query: xpathlite.MustCompile(`//Product`),
@@ -76,6 +77,7 @@ func TestLoadPipeline(t *testing.T) {
 func TestIndexStaysConsistentOverHistory(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	w := New(diff.Options{})
+	defer w.Close()
 	cur := changesim.Catalog(rng, 2, 8)
 	if _, err := w.Load("doc", cur); err != nil {
 		t.Fatal(err)
@@ -113,6 +115,7 @@ func TestIndexStaysConsistentOverHistory(t *testing.T) {
 
 func TestTemporalDelegation(t *testing.T) {
 	w := New(diff.Options{})
+	defer w.Close()
 	w.Load("d", parse(t, `<r><v>1</v></r>`))
 	w.Load("d", parse(t, `<r><v>2</v></r>`))
 	w.Load("d", parse(t, `<r><v>3</v></r>`))
@@ -141,13 +144,20 @@ func TestTemporalDelegation(t *testing.T) {
 		// Unsubscribe of unknown id returns false; both branches fine.
 		_ = struct{}{}
 	}
-	if w.Store() == nil {
-		t.Fatal("store accessor nil")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Load("d", parse(t, `<r/>`)); err == nil {
+		t.Fatal("Load after Close succeeded")
+	}
+	if got := w.Versions("d"); got != 3 {
+		t.Fatalf("after Close: %d versions, want 3 still readable", got)
 	}
 }
 
 func TestLoadErrors(t *testing.T) {
 	w := New(diff.Options{})
+	defer w.Close()
 	if _, err := w.Load("x", dom.NewElement("a")); err == nil {
 		t.Error("element accepted")
 	}

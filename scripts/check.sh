@@ -21,7 +21,10 @@
 #   9. xpath smoke  differential XPath harness: 6000 generated
 #                  query×document pairs, xpathlite vs the naive
 #                  evaluator, zero divergences tolerated
-#  10. bench smoke quick bench5–bench8 runs compared against the
+#  10. ledger      `go vet` and the self-test of the benchmark ledger
+#                  (ledger/), its own Go module, which the module-wide
+#                  steps above never compile
+#  11. bench smoke quick bench5–bench8 runs compared against the
 #                  committed BENCH_5.json … BENCH_8.json with coarse
 #                  tolerances (3x time, 1.5x allocations, +0.15
 #                  quality/optimality ratio, identical deltas, 3x
@@ -72,6 +75,10 @@ $GO test ./internal/changesim -run '^TestSFTMQualityOnHTMLCorpus$' -count=1 -v
 
 echo "==> xpath smoke"
 $GO test ./internal/xptest -run '^TestXPathDifferentialSeeded$' -count=1 -v
+
+echo "==> ledger"
+$GO -C ledger vet ./...
+$GO -C ledger test ./...
 
 echo "==> bench smoke"
 ./scripts/benchdiff.sh -quick

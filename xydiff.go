@@ -18,7 +18,7 @@
 //
 // The facade re-exports the building blocks; richer APIs live in the
 // internal packages: internal/diff (the BULD algorithm and options),
-// internal/delta (the change model), internal/store (a versioned
+// internal/delta (the change model), internal/vstore (the versioned
 // repository), internal/alert (delta subscriptions), and
 // internal/changesim (the paper's change simulator).
 package xydiff
@@ -128,7 +128,8 @@ func Merge(base *Node, ours, theirs *Delta) (*MergeResult, error) {
 // Figure 1: repository + diff + alerter + full-text index + statistics.
 type Warehouse = warehouse.Warehouse
 
-// NewWarehouse returns an empty warehouse.
+// NewWarehouse returns an empty warehouse whose repository lives in
+// memory; Close it when done.
 func NewWarehouse(opts ...Options) *Warehouse { return warehouse.New(first(opts)) }
 
 // Subscription describes a pattern of interest over deltas for the

@@ -102,6 +102,7 @@ func TestFacadeApplyInPlace(t *testing.T) {
 
 func TestFacadeWarehouse(t *testing.T) {
 	w := xydiff.NewWarehouse()
+	defer w.Close()
 	w.Subscribe(xydiff.Subscription{
 		ID:    "watch",
 		Query: xydiff.MustCompileQuery(`//item`),
